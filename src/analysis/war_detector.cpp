@@ -85,7 +85,7 @@ WarHazardDetector::analyze(
                 h.region.assign(r->name.data(), r->name.size());
                 h.offset = h.addr - r->base;
             } else {
-                h.region = "?";
+                h.region.assign(1, '?');
                 h.offset = 0;
             }
             h.boot = iv.boot;

@@ -47,7 +47,8 @@ struct BoardConfig {
     std::uint32_t starvationRebootLimit = 300;
     /** Accelerometer activity-regime switching period. */
     TimeNs accelRegimePeriod = 500 * kNsPerMs;
-    /** Telemetry event-timeline capacity (drop-oldest beyond this). */
+    /** Telemetry event-timeline capacity (drop-oldest beyond this).
+     *  A bound, not a preallocation: the ring grows as events arrive. */
     std::uint32_t eventRingCapacity = 1 << 16;
 };
 

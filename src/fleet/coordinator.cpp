@@ -90,21 +90,24 @@ spawnWorker(const FleetConfig &cfg, const std::string &workerBin,
     ::close(toChild[0]);
     ::close(fromChild[1]);
 
-    Frame hello;
-    hello["type"] = "hello";
-    hello["spec"] = sweep::formatSpec(cfg.sweep.grid);
-    hello["indices"] = joinIndices(indices);
-    hello["shard"] = std::to_string(shard);
-    hello["use_cache"] = cfg.sweep.useCache ? "1" : "0";
-    hello["cache_dir"] = cfg.sweep.cacheDir;
-    hello["budget_ns"] = std::to_string(cfg.sweep.budget);
-    hello["unprotected_budget_ns"] =
-        std::to_string(cfg.sweep.unprotectedBudget);
-    hello["deadline_ms"] =
-        remainingMs > 0.0
-            ? std::to_string(static_cast<long long>(remainingMs))
-            : std::string();
-    hello["die_after"] = dieAfterOne ? "1" : "";
+    // Built in one initializer: assigning a const char * into a map
+    // slot trips GCC 12's bogus -Wrestrict (PR105329) at -O2.
+    const Frame hello{
+        {"type", "hello"},
+        {"spec", sweep::formatSpec(cfg.sweep.grid)},
+        {"indices", joinIndices(indices)},
+        {"shard", std::to_string(shard)},
+        {"use_cache", cfg.sweep.useCache ? "1" : "0"},
+        {"cache_dir", cfg.sweep.cacheDir},
+        {"budget_ns", std::to_string(cfg.sweep.budget)},
+        {"unprotected_budget_ns",
+         std::to_string(cfg.sweep.unprotectedBudget)},
+        {"deadline_ms",
+         remainingMs > 0.0
+             ? std::to_string(static_cast<long long>(remainingMs))
+             : std::string()},
+        {"die_after", dieAfterOne ? "1" : ""},
+    };
     const std::string wire = encodeFrame(hello);
     std::size_t off = 0;
     bool wrote = true;

@@ -16,6 +16,7 @@
 #define TICSIM_MEM_NVRAM_HPP
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -35,6 +36,12 @@ struct NvRegion {
  * Bump-allocated non-volatile arena with named regions and traffic
  * accounting. Region layout is fixed for the lifetime of an
  * experiment (embedded firmware has a static memory map).
+ *
+ * The arena is zeroed as it is allocated: allocate() clears the new
+ * region and the alignment padding before it, so every reachable byte
+ * reads 0 when first seen, and construction costs nothing for the
+ * bytes a run never uses. Unallocated bytes are never read; everything
+ * that walks the arena walks regions().
  */
 class NvRam
 {
@@ -82,7 +89,7 @@ class NvRam
   private:
     std::uint32_t size_;
     std::uint32_t next_ = 0;
-    std::vector<std::uint8_t> data_;
+    std::unique_ptr<std::uint8_t[]> data_;  ///< zeroed up to next_
     std::vector<NvRegion> regions_;
     StatGroup stats_;
 };

@@ -273,7 +273,15 @@ Cell::label() const
 std::vector<Cell>
 GridSpec::cells() const
 {
-    std::vector<Cell> out;
+    // Each cell's jobId() is computed once, for the dedupe, and kept
+    // as its sort key: hashing the canonical string per comparison
+    // would dominate enumeration.
+    struct Key {
+        std::uint64_t id;
+        std::size_t index;
+    };
+    std::vector<Cell> found;
+    std::vector<Key> keys;
     std::unordered_set<std::uint64_t> seen;
     for (const auto &app : apps) {
         for (const auto &rt : runtimes) {
@@ -303,8 +311,11 @@ GridSpec::cells() const
                                     SupplyKind::Continuous, 0.0, 1.0};
                                 c.capUf = cap;
                             }
-                            if (seen.insert(c.jobId()).second)
-                                out.push_back(std::move(c));
+                            const std::uint64_t id = c.jobId();
+                            if (seen.insert(id).second) {
+                                keys.push_back({id, found.size()});
+                                found.push_back(std::move(c));
+                            }
                         }
                       }
                     }
@@ -312,14 +323,16 @@ GridSpec::cells() const
             }
         }
     }
-    std::sort(out.begin(), out.end(),
-              [](const Cell &a, const Cell &b) {
-                  const std::uint64_t ia = a.jobId();
-                  const std::uint64_t ib = b.jobId();
-                  if (ia != ib)
-                      return ia < ib;
-                  return a.seed < b.seed;
+    std::sort(keys.begin(), keys.end(),
+              [&found](const Key &a, const Key &b) {
+                  if (a.id != b.id)
+                      return a.id < b.id;
+                  return found[a.index].seed < found[b.index].seed;
               });
+    std::vector<Cell> out;
+    out.reserve(found.size());
+    for (const Key &k : keys)
+        out.push_back(std::move(found[k.index]));
     return out;
 }
 

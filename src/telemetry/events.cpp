@@ -24,7 +24,7 @@ eventName(EventKind k)
 }
 
 EventRing::EventRing(std::uint32_t capacity)
-    : buf_(capacity > 0 ? capacity : 1)
+    : cap_(capacity > 0 ? capacity : 1)
 {
 }
 
@@ -32,19 +32,23 @@ void
 EventRing::emit(EventKind kind, TimeNs at, std::uint64_t arg0,
                 std::uint64_t arg1)
 {
-    const auto cap = static_cast<std::uint32_t>(buf_.size());
     std::uint32_t slot;
     ++perf::hot().eventPushes;
-    if (count_ < cap) {
-        slot = (head_ + count_) % cap;
+    if (count_ < cap_) {
+        slot = (head_ + count_) % cap_;
         ++count_;
     } else {
         slot = head_;  // overwrite the oldest
-        head_ = (head_ + 1) % cap;
+        head_ = (head_ + 1) % cap_;
         ++dropped_;
         ++perf::hot().eventDrops;
     }
-    buf_[slot] = Event{at, arg0, arg1, kind};
+    // slot == buf_.size() only while growing; after a rewind, lower
+    // slots are overwritten in place.
+    if (slot < buf_.size())
+        buf_[slot] = Event{at, arg0, arg1, kind};
+    else
+        buf_.push_back(Event{at, arg0, arg1, kind});
 }
 
 std::vector<Event>
@@ -52,9 +56,8 @@ EventRing::snapshot() const
 {
     std::vector<Event> out;
     out.reserve(count_);
-    const auto cap = static_cast<std::uint32_t>(buf_.size());
     for (std::uint32_t i = 0; i < count_; ++i)
-        out.push_back(buf_[(head_ + i) % cap]);
+        out.push_back(buf_[(head_ + i) % cap_]);
     return out;
 }
 

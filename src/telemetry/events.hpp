@@ -2,11 +2,12 @@
  * @file
  * Bounded virtual-time event timeline.
  *
- * A fixed-capacity ring of typed events, each stamped with the board's
- * true virtual time at emission. The ring is preallocated once and
- * emit() is a couple of stores, so recording is safe on the charge
- * path; when the ring fills, the oldest events are overwritten and a
- * drop counter records how many were lost (the exporter reports it).
+ * A bounded ring of typed events, each stamped with the board's true
+ * virtual time at emission. The buffer grows on demand up to capacity,
+ * so a run pays only for the events it records, and emit() is a couple
+ * of stores, so recording is safe on the charge path; once the ring is
+ * full, the oldest events are overwritten and a drop counter records
+ * how many were lost (the exporter reports it).
  *
  * Events are host-side observability only — emitting charges no
  * cycles, so enabling the timeline cannot change modeled results.
@@ -63,10 +64,8 @@ class EventRing
     std::vector<Event> snapshot() const;
 
     std::uint32_t size() const { return count_; }
-    std::uint32_t capacity() const
-    {
-        return static_cast<std::uint32_t>(buf_.size());
-    }
+    /** The configured bound, however far the buffer has grown. */
+    std::uint32_t capacity() const { return cap_; }
 
     /** Events overwritten because the ring was full. */
     std::uint64_t dropped() const { return dropped_; }
@@ -94,7 +93,10 @@ class EventRing
     bool rewind(const Mark &m);
 
   private:
+    /// Grows by push_back until it holds cap_ events. While it is
+    /// shorter, head_ is 0 and head_ + count_ <= buf_.size().
     std::vector<Event> buf_;
+    std::uint32_t cap_;
     std::uint32_t head_ = 0;  ///< index of the oldest event
     std::uint32_t count_ = 0;
     std::uint64_t dropped_ = 0;

@@ -34,9 +34,11 @@ struct DynamicEvidence {
 std::size_t
 countDuplicateSends(board::Board &b)
 {
-    std::map<std::vector<std::uint8_t>, std::size_t> seen;
+    // Keyed by the payload bytes as a string: GCC 12 at -O2 reports a
+    // bogus -Wstringop-overread inside vector<uint8_t>'s operator<=>.
+    std::map<std::string, std::size_t> seen;
     for (const auto &p : b.radio().packets())
-        ++seen[p.payload];
+        ++seen[std::string(p.payload.begin(), p.payload.end())];
     std::size_t dups = 0;
     for (const auto &[payload, n] : seen) {
         if (n > 1)

@@ -66,6 +66,15 @@ struct MatrixCase {
     std::uint32_t segBytes; ///< only used by TICS cases
 };
 
+// Without this, gtest prints the parameter as a byte dump that holds the
+// address of `name`, which ASLR moves on every run, so the ctest names
+// that gtest_discover_tests records would differ from build to build.
+void
+PrintTo(const MatrixCase &mc, std::ostream *os)
+{
+    *os << mc.name;
+}
+
 class AppMatrix : public ::testing::TestWithParam<MatrixCase>
 {
 };

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <vector>
 
 #include "mem/footprint.hpp"
@@ -38,6 +39,50 @@ TEST(NvRam, HostPointerRoundTrip)
     EXPECT_EQ(ram.addrOf(p), a);
     int onStack = 0;
     EXPECT_FALSE(ram.contains(&onStack));
+}
+
+namespace {
+
+/** Every arena byte in [from, to) reads 0. */
+void
+expectZero(const NvRam &ram, Addr from, Addr to)
+{
+    const std::uint8_t *p = ram.hostPtr(0);
+    for (Addr a = from; a < to; ++a)
+        ASSERT_EQ(p[a], 0u) << "addr " << a;
+}
+
+} // namespace
+
+TEST(NvRam, AllocateZeroesRegionAndPadding)
+{
+    NvRam ram(64 * 1024);
+    ram.allocate("odd", 3, 1);
+    ram.allocate("aligned", 100, 64);  // 61 bytes of padding before it
+    ram.allocate("big", 20000, 8);
+    ram.allocate("tail", 1, 4096);
+    EXPECT_EQ(ram.regions()[1].base, 64u);
+    // Regions and all padding between them, up to the bump pointer.
+    expectZero(ram, 0, ram.used());
+}
+
+TEST(NvRam, FreshArenaReadsZeroAfterMallocReuse)
+{
+    // Dirty and destroy arenas so the allocator hands their memory
+    // back; every new arena must still read 0 wherever it allocates.
+    for (int round = 0; round < 8; ++round) {
+        NvRam ram(256 * 1024);
+        ram.allocate("a", 5, 1);
+        ram.allocate("b", 96 * 1024, 64);
+        ram.allocate("c", 4000, 8);
+        expectZero(ram, 0, ram.used());
+        for (const NvRegion &r : ram.regions())
+            std::memset(ram.hostPtr(r.base), 0xA5, r.size);
+        // A late region after dirtying is zeroed too, padding included.
+        const Addr end = ram.used();
+        ram.allocate("late", 1000, 256);
+        expectZero(ram, end, ram.used());
+    }
 }
 
 TEST(NvRam, TrafficAccounting)

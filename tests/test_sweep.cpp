@@ -9,6 +9,9 @@
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
+#include <algorithm>
 #include <atomic>
 #include <cstdio>
 #include <filesystem>
@@ -31,6 +34,22 @@
 
 namespace ticsim {
 namespace {
+
+/**
+ * A temp path unique to this process and test. gtest_discover_tests
+ * runs every case as its own process and `ctest -j` runs them at once,
+ * so a fixed name would let one case delete another's live files.
+ */
+std::string
+uniqueTempPath(const std::string &stem, const std::string &ext = "")
+{
+    const auto *info =
+        ::testing::UnitTest::GetInstance()->current_test_info();
+    return (std::filesystem::temp_directory_path() /
+            (stem + "-" + std::to_string(::getpid()) + "-" +
+             info->test_suite_name() + "." + info->name() + ext))
+        .string();
+}
 
 // ---- JobPool -----------------------------------------------------------
 
@@ -169,6 +188,41 @@ TEST(Grid, EnumerationOrderIsCanonical)
         EXPECT_LE(ca[i - 1].jobId(), ca[i].jobId());
 }
 
+TEST(Grid, OrderMatchesJobIdSeedSortAfterNormalization)
+{
+    // Axes that normalise away: seg on non-TICS runtimes, cap on the
+    // continuous supply, and the supply axis itself under an env.
+    sweep::GridSpec spec;
+    spec.apps = {"BC", "CF"};
+    spec.runtimes = {"plain-C", "TICS", "MementOS-like"};
+    spec.supplies = {sweep::SupplyAxis{sweep::SupplyKind::Continuous, 0.0,
+                                       1.0},
+                     sweep::SupplyAxis{sweep::SupplyKind::Rf, 0.0, 1.0},
+                     sweep::SupplyAxis{}};
+    spec.capsUf = {0.0, 10.0, 47.0};
+    spec.segments = {128, 256};
+    spec.envs = {"", "rf_mobile"};
+    spec.seeds = {13, 11, 12};
+    const auto cells = spec.cells();
+
+    // Reference: the cells in reverse, re-sorted with the plain
+    // (jobId(), seed) comparator.
+    std::vector<sweep::Cell> ref(cells.rbegin(), cells.rend());
+    std::sort(ref.begin(), ref.end(),
+              [](const sweep::Cell &a, const sweep::Cell &b) {
+                  if (a.jobId() != b.jobId())
+                      return a.jobId() < b.jobId();
+                  return a.seed < b.seed;
+              });
+    ASSERT_EQ(cells.size(), ref.size());
+    for (std::size_t i = 0; i < cells.size(); ++i)
+        EXPECT_EQ(cells[i].canonical(), ref[i].canonical()) << i;
+    // Per seed and app, a runtime keeps 8 supply points: continuous
+    // (1), rf (3 caps), pattern (1) and env (3 caps, all 3 supplies
+    // merged). TICS doubles them by segment.
+    EXPECT_EQ(cells.size(), 2u * (8 + 16 + 8) * 3);
+}
+
 TEST(Grid, ParseSupplyTokens)
 {
     sweep::SupplyAxis a;
@@ -205,8 +259,7 @@ TEST(Grid, ParseAxisRejectsBadInput)
 
 TEST(Grid, ParseGridFile)
 {
-    const auto dir = std::filesystem::temp_directory_path();
-    const auto path = dir / "ticssweep_test_grid.txt";
+    const std::string path = uniqueTempPath("ticssweep_test_grid", ".txt");
     {
         std::ofstream os(path);
         os << "# capacitor sweep\n"
@@ -218,7 +271,7 @@ TEST(Grid, ParseGridFile)
     }
     sweep::GridSpec spec;
     std::string err;
-    ASSERT_TRUE(sweep::parseGridFile(path.string(), spec, err)) << err;
+    ASSERT_TRUE(sweep::parseGridFile(path, spec, err)) << err;
     EXPECT_EQ(spec.apps, (std::vector<std::string>{"BC"}));
     EXPECT_EQ(spec.capsUf.size(), 2u);
     // 1 app x (TICS x 2 caps + plain-C x 2 caps) x 2 seeds.
@@ -229,7 +282,7 @@ TEST(Grid, ParseGridFile)
         os << "apps bc\n";
     }
     sweep::GridSpec bad;
-    EXPECT_FALSE(sweep::parseGridFile(path.string(), bad, err));
+    EXPECT_FALSE(sweep::parseGridFile(path, bad, err));
     EXPECT_NE(err.find(":1:"), std::string::npos);
     std::filesystem::remove(path);
 }
@@ -335,9 +388,7 @@ class SweepCacheTest : public ::testing::Test
   protected:
     void SetUp() override
     {
-        dir_ = (std::filesystem::temp_directory_path() /
-                "ticssweep_test_cache")
-                   .string();
+        dir_ = uniqueTempPath("ticssweep_test_cache");
         std::filesystem::remove_all(dir_);
     }
     void TearDown() override { std::filesystem::remove_all(dir_); }
@@ -555,9 +606,7 @@ TEST(SweepEngine, ResultsAreIdenticalForAnyJobCount)
 
 TEST(SweepEngine, CacheHitsReproduceFreshResults)
 {
-    const std::string dir = (std::filesystem::temp_directory_path() /
-                             "ticssweep_test_engine_cache")
-                                .string();
+    const std::string dir = uniqueTempPath("ticssweep_test_engine_cache");
     std::filesystem::remove_all(dir);
 
     auto cfg = smallSweep();

@@ -202,6 +202,77 @@ TEST(EventRing, ClearResets)
     EXPECT_TRUE(ring.snapshot().empty());
 }
 
+TEST(EventRing, CapacityIsTheBoundBeforeAnyEmit)
+{
+    // The buffer grows on demand; capacity() reports the bound, not
+    // how far it has grown.
+    const EventRing ring(1u << 16);
+    EXPECT_EQ(ring.capacity(), 1u << 16);
+    EXPECT_EQ(ring.size(), 0u);
+    EXPECT_EQ(EventRing(0).capacity(), 1u);
+}
+
+namespace {
+
+void
+expectSameEvents(const std::vector<Event> &a, const std::vector<Event> &b)
+{
+    ASSERT_EQ(a.size(), b.size());
+    for (std::size_t i = 0; i < a.size(); ++i) {
+        EXPECT_EQ(a[i].at, b[i].at) << i;
+        EXPECT_EQ(a[i].arg0, b[i].arg0) << i;
+        EXPECT_EQ(a[i].arg1, b[i].arg1) << i;
+        EXPECT_EQ(a[i].kind, b[i].kind) << i;
+    }
+}
+
+} // namespace
+
+TEST(EventRing, RewindWhilePartlyGrownMatchesFreshRing)
+{
+    // Mark while the buffer is partly grown, grow it further, rewind,
+    // and re-emit: the slots past the mark are overwritten in place
+    // and the timeline equals a fresh ring fed the same events.
+    EventRing ring(16);
+    EventRing fresh(16);
+    for (std::uint64_t i = 0; i < 5; ++i) {
+        ring.emit(EventKind::Boot, i, i);
+        fresh.emit(EventKind::Boot, i, i);
+    }
+    const EventRing::Mark m = ring.mark();
+    for (std::uint64_t i = 0; i < 6; ++i)
+        ring.emit(EventKind::BrownOut, 1000 + i, 99, 99);
+    EXPECT_TRUE(ring.rewind(m));
+    EXPECT_EQ(ring.size(), 5u);
+    for (std::uint64_t i = 5; i < 12; ++i) {
+        ring.emit(EventKind::Restore, i, i, i * 2);
+        fresh.emit(EventKind::Restore, i, i, i * 2);
+    }
+    EXPECT_EQ(ring.size(), fresh.size());
+    EXPECT_EQ(ring.dropped(), fresh.dropped());
+    EXPECT_EQ(ring.capacity(), 16u);
+    expectSameEvents(ring.snapshot(), fresh.snapshot());
+}
+
+TEST(EventRing, WrapAndDropAtTheGrowthBoundary)
+{
+    // Cap 4: short of the bound, exactly at it, and two wraps past it.
+    struct Case {
+        std::uint64_t emitted, size, dropped;
+    };
+    for (const Case c : {Case{3, 3, 0}, Case{4, 4, 0}, Case{9, 4, 5}}) {
+        EventRing ring(4);
+        for (std::uint64_t i = 0; i < c.emitted; ++i)
+            ring.emit(EventKind::Boot, i * 10, i);
+        EXPECT_EQ(ring.size(), c.size) << c.emitted;
+        EXPECT_EQ(ring.dropped(), c.dropped) << c.emitted;
+        const auto events = ring.snapshot();
+        ASSERT_EQ(events.size(), c.size);
+        for (std::size_t i = 0; i < events.size(); ++i)
+            EXPECT_EQ(events[i].arg0, c.dropped + i) << c.emitted;
+    }
+}
+
 // ---- cycle conservation across the runtime matrix --------------------------
 
 TEST(Telemetry, PhaseSumMatchesRunCyclesPlainC)
