@@ -1,34 +1,31 @@
 /**
  * @file
- * ticssweep: the parallel experiment-orchestration CLI. Enumerates a
- * grid of (app, runtime, supply, capacitor, segment, seed) cells —
- * from a spec file or CLI axis flags — and runs them on a
- * work-stealing pool with a content-addressed result cache.
+ * ticssweep: the experiment-orchestration CLI. Enumerates a grid of
+ * (app, runtime, supply, capacitor, segment, env, seed) cells — from a
+ * spec file or CLI axis flags — and runs it through fleet::runFleet:
+ * in-process on a work-stealing pool with a content-addressed result
+ * cache (--workers 0, the default), or sharded across N re-exec'd
+ * `ticssweep --worker` processes with crash retry and heartbeat
+ * timeouts.
  *
- * The output is deterministic: any --jobs count (and any cache state)
- * produces byte-identical tables and, under --stable, byte-identical
- * --json documents, so CI can diff a 1-job run against a 4-job run.
- *
- * Modes:
- *   (default)    run the grid, print per-cell and aggregate tables
- *   --campaign   run the ticsfault adversarial campaign on the pool
- *   --crossval   run the ticsverify cross-validation on the pool
- *   --worker     serve the ticsfleet worker protocol on stdin/stdout
+ * The output is deterministic: any --jobs or --workers count, any cache
+ * state, and a SIGKILLed-then-retried worker all produce byte-identical
+ * tables and, under --stable, byte-identical --json documents, so CI
+ * can diff a 1-job run against a 4-job run and a 4-worker run.
+ * --kill-worker N is the deterministic chaos hook CI uses to exercise
+ * the crash-retry path.
  */
 
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <fstream>
 #include <iostream>
 #include <string>
 
-#include "fault/campaign.hpp"
+#include "fleet/coordinator.hpp"
 #include "fleet/worker.hpp"
 #include "harness/report.hpp"
 #include "sweep/sweep.hpp"
-#include "verify/crossval.hpp"
-#include "verify/verifier.hpp"
 
 using namespace ticsim;
 
@@ -42,87 +39,24 @@ usage(const char *argv0)
         "          [--supplies L] [--caps-uf L] [--segments L]\n"
         "          [--envs L] [--seeds L] [--jobs N] [--no-cache]\n"
         "          [--cache-dir PATH] [--budget-s N] [--stable]\n"
-        "          [--json PATH] [--trace PATH]\n"
-        "       %s --campaign [--seed N] [--random N] [--jobs N]\n"
-        "          [--budget-s N] [--max-seconds S] [--patterns PATH]\n"
-        "       %s --crossval [--seed N] [--jobs N]\n"
-        "       %s --worker   (ticsfleet worker protocol on stdio)\n"
-        "Runs the cross-product of experiment axes on a work-stealing\n"
-        "pool with a content-addressed result cache. Axis lists (L)\n"
-        "are comma-separated; supplies accept continuous, rf,\n"
-        "stochastic and pattern:<periodMs>:<onFraction>. --jobs 0\n"
-        "uses every hardware thread. --stable zeroes the wall-clock\n"
-        "and cache fields of the JSON report so repeated runs are\n"
-        "byte-identical. --worker is ticsfleet's re-exec entry and\n"
-        "takes no other flags.\n",
-        argv0, argv0, argv0, argv0);
-}
-
-int
-campaignMain(harness::BenchSession &session,
-             const fault::CampaignConfig &cfg,
-             const std::string &patternsPath)
-{
-    session.setSeed(cfg.seed);
-    const fault::CampaignReport report = fault::runCampaign(cfg);
-    fault::campaignTable(report).print(std::cout);
-    fault::violationTable(report).print(std::cout);
-
-    for (const auto &p : report.pairs) {
-        for (const auto &v : p.found) {
-            harness::ReportFinding rf;
-            rf.analysis = "fault-campaign";
-            rf.app = v.app;
-            rf.runtime = v.runtime;
-            rf.subject = v.kind;
-            rf.bytes = v.divergentBytes;
-            rf.detail = v.plan;
-            session.addFinding(std::move(rf));
-        }
-    }
-    if (!patternsPath.empty()) {
-        std::ofstream os(patternsPath);
-        if (!os) {
-            std::fprintf(stderr, "ticssweep: cannot open '%s'\n",
-                         patternsPath.c_str());
-        } else {
-            for (const auto &p : report.pairs)
-                for (const auto &v : p.found)
-                    os << v.app << '/' << v.runtime << ':' << v.plan
-                       << '\n';
-        }
-    }
-    if (report.truncated)
-        std::printf("ticssweep: campaign truncated by --max-seconds; "
-                    "result is not seed-reproducible\n");
-    if (report.ok()) {
-        std::printf("ticssweep: campaign of %llu schedules, protection "
-                    "split holds\n",
-                    static_cast<unsigned long long>(
-                        report.totalSchedules));
-        return 0;
-    }
-    std::printf("ticssweep: UNEXPECTED campaign outcome\n");
-    return 1;
-}
-
-int
-crossvalMain(harness::BenchSession &session,
-             const verify::VerifyConfig &cfg)
-{
-    session.setSeed(cfg.seed);
-    const auto report = verify::crossValidate(cfg);
-    verify::crossValTable(report).print(std::cout);
-    std::printf("ticssweep: coverage %zu/%zu dynamic detections, "
-                "%zu/%zu static findings confirmed\n",
-                report.totalMatched, report.totalDynamic,
-                report.totalConfirmed, report.totalStatic);
-    if (!report.fullCoverage()) {
-        std::printf("UNEXPECTED: dynamic detections escaped the "
-                    "static analyses\n");
-        return 1;
-    }
-    return 0;
+        "          [--workers N] [--max-seconds S] [--max-retries N]\n"
+        "          [--heartbeat-timeout-s S] [--kill-worker SHARD]\n"
+        "          [--require-complete] [--json PATH] [--trace PATH]\n"
+        "       %s --worker   (fleet worker protocol on stdio)\n"
+        "Runs the cross-product of experiment axes with a\n"
+        "content-addressed result cache. Axis lists (L) are\n"
+        "comma-separated; supplies accept continuous, rf, stochastic\n"
+        "and pattern:<periodMs>:<onFraction>. --budget-s is the\n"
+        "per-cell simulated budget. --jobs threads per process (0 =\n"
+        "every hardware thread). --workers N shards the grid across N\n"
+        "worker processes (0 = in-process); --max-seconds caps their\n"
+        "wall clock, --require-complete exits nonzero unless every\n"
+        "cell produced a result, and --kill-worker makes that shard's\n"
+        "first process SIGKILL itself after one result. --stable\n"
+        "zeroes the wall-clock and cache fields of the JSON report so\n"
+        "repeated runs are byte-identical. --worker is the re-exec\n"
+        "entry and takes no other flags.\n",
+        argv0, argv0);
 }
 
 } // namespace
@@ -138,14 +72,11 @@ main(int argc, char **argv)
     // Strips --json/--trace before our own argument loop.
     harness::BenchSession session("ticssweep", argc, argv);
 
-    enum class Mode { Grid, Campaign, CrossVal };
-    Mode mode = Mode::Grid;
-
-    sweep::SweepConfig cfg;
-    fault::CampaignConfig campaign;
-    verify::VerifyConfig crossval;
-    std::string patternsPath;
+    fleet::FleetConfig cfg;
+    cfg.workers = 0;
+    sweep::SweepConfig &sw = cfg.sweep;
     bool stable = false;
+    bool requireComplete = false;
 
     for (int i = 1; i < argc; ++i) {
         const char *arg = argv[i];
@@ -158,18 +89,14 @@ main(int argc, char **argv)
         };
         const auto axis = [&](const char *key) {
             std::string err;
-            if (!sweep::parseAxis(cfg.grid, key, next(), err)) {
+            if (!sweep::parseAxis(sw.grid, key, next(), err)) {
                 std::fprintf(stderr, "ticssweep: %s\n", err.c_str());
                 std::exit(2);
             }
         };
-        if (std::strcmp(arg, "--campaign") == 0) {
-            mode = Mode::Campaign;
-        } else if (std::strcmp(arg, "--crossval") == 0) {
-            mode = Mode::CrossVal;
-        } else if (std::strcmp(arg, "--spec") == 0) {
+        if (std::strcmp(arg, "--spec") == 0) {
             std::string err;
-            if (!sweep::parseGridFile(next(), cfg.grid, err)) {
+            if (!sweep::parseGridFile(next(), sw.grid, err)) {
                 std::fprintf(stderr, "ticssweep: %s\n", err.c_str());
                 return 2;
             }
@@ -188,62 +115,76 @@ main(int argc, char **argv)
         } else if (std::strcmp(arg, "--seeds") == 0) {
             axis("seeds");
         } else if (std::strcmp(arg, "--jobs") == 0) {
-            const unsigned jobs =
-                static_cast<unsigned>(std::atoi(next()));
-            cfg.jobs = jobs;
-            campaign.jobs = jobs;
-            crossval.jobs = jobs;
+            sw.jobs = static_cast<unsigned>(std::atoi(next()));
         } else if (std::strcmp(arg, "--no-cache") == 0) {
-            cfg.useCache = false;
+            sw.useCache = false;
         } else if (std::strcmp(arg, "--cache-dir") == 0) {
-            cfg.cacheDir = next();
+            sw.cacheDir = next();
         } else if (std::strcmp(arg, "--budget-s") == 0) {
-            const TimeNs b =
-                static_cast<TimeNs>(std::atoll(next())) * kNsPerSec;
-            cfg.budget = b;
-            campaign.budget = b;
+            sw.budget = static_cast<TimeNs>(std::atoll(next())) * kNsPerSec;
         } else if (std::strcmp(arg, "--stable") == 0) {
             stable = true;
-        } else if (std::strcmp(arg, "--seed") == 0) {
-            const auto seed =
-                static_cast<std::uint64_t>(std::atoll(next()));
-            campaign.seed = seed;
-            crossval.seed = seed;
-            if (cfg.grid.seeds.size() == 1)
-                cfg.grid.seeds[0] = seed;
-        } else if (std::strcmp(arg, "--random") == 0) {
-            campaign.randomSchedules =
-                static_cast<std::uint32_t>(std::atoi(next()));
+        } else if (std::strcmp(arg, "--workers") == 0) {
+            cfg.workers = static_cast<unsigned>(std::atoi(next()));
         } else if (std::strcmp(arg, "--max-seconds") == 0) {
-            campaign.maxSeconds = std::atof(next());
-        } else if (std::strcmp(arg, "--patterns") == 0) {
-            patternsPath = next();
+            cfg.wallBudgetS = std::atof(next());
+        } else if (std::strcmp(arg, "--max-retries") == 0) {
+            cfg.maxRetries = static_cast<unsigned>(std::atoi(next()));
+        } else if (std::strcmp(arg, "--heartbeat-timeout-s") == 0) {
+            cfg.heartbeatTimeoutS = std::atof(next());
+        } else if (std::strcmp(arg, "--kill-worker") == 0) {
+            cfg.killWorkerShard = std::atoi(next());
+        } else if (std::strcmp(arg, "--require-complete") == 0) {
+            requireComplete = true;
         } else {
             usage(argv[0]);
             return 2;
         }
     }
 
-    if (mode == Mode::Campaign)
-        return campaignMain(session, campaign, patternsPath);
-    if (mode == Mode::CrossVal)
-        return crossvalMain(session, crossval);
+    fleet::FleetResult result = fleet::runFleet(cfg);
+    const sweep::SweepResult &out = result.sweep;
+    sweep::sweepTable(out).print(std::cout);
+    sweep::aggregateTable(out).print(std::cout);
+    session.setGrid(sweep::toGridSection(out, stable));
 
-    const sweep::SweepResult result = sweep::runSweep(cfg);
-    sweep::sweepTable(result).print(std::cout);
-    sweep::aggregateTable(result).print(std::cout);
-    session.setGrid(sweep::toGridSection(result, stable));
+    if (cfg.workers == 0) {
+        if (sw.useCache)
+            std::printf("ticssweep: %zu cells (%llu cached, %llu run) "
+                        "on %u job(s)\n",
+                        out.cells.size(),
+                        static_cast<unsigned long long>(out.cacheHits),
+                        static_cast<unsigned long long>(out.cacheMisses),
+                        out.jobs);
+        else
+            std::printf("ticssweep: %zu cells (cache disabled) on %u "
+                        "job(s)\n",
+                        out.cells.size(), out.jobs);
+        return 0;
+    }
 
-    if (cfg.useCache)
-        std::printf("ticssweep: %zu cells (%llu cached, %llu run) on "
-                    "%u job(s)\n",
-                    result.cells.size(),
-                    static_cast<unsigned long long>(result.cacheHits),
-                    static_cast<unsigned long long>(result.cacheMisses),
-                    result.jobs);
-    else
-        std::printf("ticssweep: %zu cells (cache disabled) on %u "
-                    "job(s)\n",
-                    result.cells.size(), result.jobs);
+    harness::FleetSection &fleet = result.fleet;
+    fleet.requireComplete = requireComplete;
+    // --stable documents are byte-compared against in-process output,
+    // so the run-varying fleet account is dropped there.
+    if (!stable)
+        session.setFleet(fleet);
+    std::printf("ticssweep: %llu/%llu cells over %u worker(s), "
+                "%llu spawn(s), %llu retr%s%s\n",
+                static_cast<unsigned long long>(fleet.cellsCompleted),
+                static_cast<unsigned long long>(fleet.cellsTotal),
+                cfg.workers,
+                static_cast<unsigned long long>(fleet.workersSpawned),
+                static_cast<unsigned long long>(fleet.retries),
+                fleet.retries == 1 ? "y" : "ies",
+                result.complete ? "" : " [INCOMPLETE]");
+    if (requireComplete && !result.complete) {
+        std::fprintf(stderr,
+                     "ticssweep: --require-complete: %llu cell(s) "
+                     "missing\n",
+                     static_cast<unsigned long long>(
+                         fleet.cellsTotal - fleet.cellsCompleted));
+        return 1;
+    }
     return 0;
 }

@@ -630,9 +630,10 @@ runCampaign(const CampaignConfig &cfg)
         t.cls = classifyOutcome(refs[t.pi], sub);
     });
 
-    // Phase 4: shrink every violating schedule. A shrink is a pure
-    // function of (pair, reference, original plan), so these also
-    // parallelize; shrinkRuns are attributed per violation.
+    // Phase 4: shrink every violating schedule with the fork-based
+    // ddmin (fault/explore.hpp). A shrink is a pure function of (pair,
+    // reference, original plan), so these also parallelize; shrinkRuns
+    // are attributed per violation.
     std::vector<std::size_t> violating;
     for (std::size_t ti = 0; ti < tasks.size(); ++ti)
         if (tasks[ti].ran && !tasks[ti].cls.kind.empty())
@@ -656,12 +657,8 @@ runCampaign(const CampaignConfig &cfg)
             return;
         }
         const SubjectTask &t = tasks[violating[vi]];
-        shrunk[vi] =
-            cfg.forkShrink
-                ? forkShrinkViolation(cfg, pairs[t.pi], refs[t.pi],
-                                      schedules[t.pi][t.si], t.cls)
-                : shrinkViolationFromBoot(cfg, pairs[t.pi], refs[t.pi],
-                                          schedules[t.pi][t.si], t.cls);
+        shrunk[vi] = forkShrinkViolation(cfg, pairs[t.pi], refs[t.pi],
+                                         schedules[t.pi][t.si], t.cls);
     });
 
     // Phase 5 (serial): assemble in (pair, schedule) order.

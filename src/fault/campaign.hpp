@@ -61,10 +61,6 @@ struct CampaignConfig {
      * cap does not fire.
      */
     unsigned jobs = 1;
-    /** Minimize violations by forking from a snapshot instead of
-     *  re-running every ddmin candidate from boot (same minimal plans,
-     *  fewer simulated cycles; see fault/explore.hpp). */
-    bool forkShrink = false;
     apps::BcParams bc{};
     apps::CuckooParams cuckoo{};
 
@@ -190,7 +186,11 @@ Violation shrinkPlanWith(const PairSpec &spec, const FaultPlan &original,
                          const Classification &firstSeen,
                          const PlanEval &eval);
 
-/** The from-boot shrinker: shrinkPlanWith over full re-runs. */
+/**
+ * The from-boot shrinker: shrinkPlanWith over full re-runs. The
+ * campaign shrinks with forkShrinkViolation(); this is the reference
+ * its minimal plans are checked against.
+ */
 Violation shrinkViolationFromBoot(const CampaignConfig &cfg,
                                   const PairSpec &spec,
                                   const PairRunOutcome &ref,

@@ -131,7 +131,8 @@ ExploreReport exploreMatrix(const ExploreConfig &cfg,
  * Falls back to a from-boot evaluation for candidates whose first atom
  * lands before the snapshot (cannot happen for subsets of @p original,
  * but absolutized confirmation plans are also routed through it).
- * Drop-in replacement for shrinkViolationFromBoot().
+ * The campaign's shrinker; finds the same minimal plans as
+ * shrinkViolationFromBoot() in fewer simulated cycles.
  */
 Violation forkShrinkViolation(const CampaignConfig &cfg,
                               const PairSpec &spec,

@@ -83,7 +83,7 @@ spawnWorker(const FleetConfig &cfg, const std::string &workerBin,
                 static_cast<char *>(nullptr));
         // exec failed: report on stderr and die; the parent sees EOF
         // without a done frame and handles it as a crash.
-        std::fprintf(stderr, "ticsfleet: cannot exec '%s': %s\n",
+        std::fprintf(stderr, "fleet: cannot exec '%s': %s\n",
                      workerBin.c_str(), std::strerror(errno));
         ::_exit(127);
     }
@@ -132,7 +132,7 @@ spawnWorker(const FleetConfig &cfg, const std::string &workerBin,
     if (!wrote) {
         // The child died before reading the hello; let the normal
         // EOF path classify it as a crash.
-        warn("ticsfleet: short hello write to shard %zu", shard);
+        warn("fleet: short hello write to shard %zu", shard);
     }
     return true;
 }
@@ -160,6 +160,17 @@ killWorker(WorkerProc &proc)
     reap(proc);
 }
 
+/** The sorted distinct env names of @p sweep's cells. */
+std::vector<std::string>
+envsOf(const sweep::SweepResult &sweep)
+{
+    std::set<std::string> envs;
+    for (const auto &cell : sweep.cells)
+        if (!cell.cell.env.empty())
+            envs.insert(cell.cell.env);
+    return {envs.begin(), envs.end()};
+}
+
 FleetResult
 runInProcess(const FleetConfig &cfg)
 {
@@ -171,36 +182,26 @@ runInProcess(const FleetConfig &cfg)
     out.fleet.cellsCompleted = out.sweep.cells.size();
     out.fleet.complete = true;
     out.fleet.wallMs = out.sweep.wallMs;
-    std::set<std::string> envs;
-    for (const auto &cell : out.sweep.cells)
-        if (!cell.cell.env.empty())
-            envs.insert(cell.cell.env);
-    out.fleet.envs.assign(envs.begin(), envs.end());
+    out.fleet.envs = envsOf(out.sweep);
     return out;
 }
 
-} // namespace
-
+/** "ticssweep" in the running image's directory. */
 std::string
-defaultWorkerBin(const char *argv0)
+defaultWorkerBin()
 {
-    // Prefer the running image's real directory (argv[0] may be a
-    // bare name found via PATH).
     char exe[4096];
     const ssize_t n =
         ::readlink("/proc/self/exe", exe, sizeof(exe) - 1);
-    std::string dir;
-    if (n > 0) {
-        exe[n] = '\0';
-        dir = exe;
-    } else if (argv0) {
-        dir = argv0;
-    }
+    const std::string dir =
+        n > 0 ? std::string(exe, static_cast<std::size_t>(n)) : "";
     const auto slash = dir.rfind('/');
     if (slash == std::string::npos)
         return "ticssweep";
     return dir.substr(0, slash) + "/ticssweep";
 }
+
+} // namespace
 
 FleetResult
 runFleet(const FleetConfig &cfg)
@@ -242,7 +243,7 @@ runFleet(const FleetConfig &cfg)
     }
 
     const std::string workerBin =
-        cfg.workerBin.empty() ? defaultWorkerBin(nullptr)
+        cfg.workerBin.empty() ? defaultWorkerBin()
                               : cfg.workerBin;
     const auto wallStart = Clock::now();
     const bool haveWall = cfg.wallBudgetS > 0.0;
@@ -276,7 +277,7 @@ runFleet(const FleetConfig &cfg)
             static_cast<std::size_t>(cfg.killWorkerShard) == shard;
         if (!spawnWorker(cfg, workerBin, shard, indices, chaos,
                          remainingMsNow(), procs[shard])) {
-            warn("ticsfleet: cannot spawn worker for shard %zu",
+            warn("fleet: cannot spawn worker for shard %zu",
                  shard);
             procs[shard].exited = true;
             return;
@@ -316,13 +317,13 @@ runFleet(const FleetConfig &cfg)
             ++retriesUsed[s];
             ++fleet.retries;
             fleet.workers[s].assigned += missing.size();
-            warn("ticsfleet: shard %zu %s; retry %u/%u over %zu "
+            warn("fleet: shard %zu %s; retry %u/%u over %zu "
                  "remaining cell(s)",
                  s, timedOut ? "missed heartbeats" : "crashed",
                  retriesUsed[s], cfg.maxRetries, missing.size());
             launch(s, missing, /*firstAttempt=*/false);
         } else {
-            warn("ticsfleet: shard %zu abandoned with %zu cell(s) "
+            warn("fleet: shard %zu abandoned with %zu cell(s) "
                  "missing",
                  s, missing.size());
         }
@@ -376,7 +377,7 @@ runFleet(const FleetConfig &cfg)
             break;
         }
         if (haveWall && Clock::now() >= wallDeadline) {
-            warn("ticsfleet: wall budget exhausted with %zu/%zu "
+            warn("fleet: wall budget exhausted with %zu/%zu "
                  "cells done",
                  filledCount, cells.size());
             for (auto &p : procs)
@@ -426,7 +427,7 @@ runFleet(const FleetConfig &cfg)
                     if (i >= cells.size() ||
                         frame["canonical"] !=
                             cells[i].canonical()) {
-                        warn("ticsfleet: shard %zu sent a result "
+                        warn("fleet: shard %zu sent a result "
                              "for an unknown cell; dropping it",
                              s);
                         continue;
@@ -440,7 +441,7 @@ runFleet(const FleetConfig &cfg)
                     if (!cellOut.result.decode(frame["result"]) ||
                         !cellOut.result.simMs.decode(
                             frame["dist"])) {
-                        warn("ticsfleet: shard %zu sent a "
+                        warn("fleet: shard %zu sent a "
                              "malformed result; dropping it",
                              s);
                         cellOut.result = sweep::CellResult{};
@@ -455,14 +456,14 @@ runFleet(const FleetConfig &cfg)
                 } else if (type == "done") {
                     p.doneFrame = true;
                 } else if (type == "error") {
-                    warn("ticsfleet: shard %zu error: %s", s,
+                    warn("fleet: shard %zu error: %s", s,
                          frame["message"].c_str());
                 }
             }
             if (!err.empty() && !eof) {
                 // A poisoned stream cannot recover; treat the worker
                 // as crashed right away.
-                warn("ticsfleet: shard %zu protocol error: %s", s,
+                warn("fleet: shard %zu protocol error: %s", s,
                      err.c_str());
                 killWorker(p);
                 attemptEnded(s, /*timedOut=*/false);
@@ -503,11 +504,7 @@ runFleet(const FleetConfig &cfg)
     fleet.cellsCompleted = filledCount;
     fleet.complete = out.complete;
     fleet.wallMs = out.sweep.wallMs;
-    std::set<std::string> envs;
-    for (const auto &cell : cells)
-        if (!cell.env.empty())
-            envs.insert(cell.env);
-    fleet.envs.assign(envs.begin(), envs.end());
+    fleet.envs = envsOf(out.sweep);
     return out;
 }
 

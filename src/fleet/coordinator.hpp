@@ -69,9 +69,6 @@ struct FleetResult {
 /** Run the grid across worker processes per @p cfg. */
 FleetResult runFleet(const FleetConfig &cfg);
 
-/** Default worker binary: "ticssweep" in @p argv0's directory. */
-std::string defaultWorkerBin(const char *argv0);
-
 } // namespace ticsim::fleet
 
 #endif // TICSIM_FLEET_COORDINATOR_HPP

@@ -1,6 +1,6 @@
 /**
  * @file
- * Wire protocol between the ticsfleet coordinator and its re-exec'd
+ * Wire protocol between the fleet coordinator and its re-exec'd
  * `ticssweep --worker` children: length-prefixed newline-JSON frames
  * over the worker's stdin/stdout pipes.
  *

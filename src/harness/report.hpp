@@ -346,11 +346,11 @@ struct FleetWorkerEntry {
 };
 
 /**
- * The `fleet` section (written by ticsfleet; bumps the report to
- * version 8): the multi-process orchestration account — worker/retry/
- * failure bookkeeping beside (never inside) the deterministic grid
- * section. Only ticsfleet calls setFleet(), so every other bench's
- * document stays at version <= 7 byte-for-byte.
+ * The `fleet` section (written by `ticssweep --workers N`, N > 0; bumps
+ * the report to version 8): the multi-process orchestration account —
+ * worker/retry/failure bookkeeping beside (never inside) the
+ * deterministic grid section. Only that path calls setFleet(), so every
+ * other document stays at version <= 7 byte-for-byte.
  */
 struct FleetSection {
     std::uint64_t workersRequested = 0;

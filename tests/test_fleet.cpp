@@ -1,6 +1,6 @@
 /**
  * @file
- * Tests for the ticsfleet subsystem: the length-prefixed frame
+ * Tests for the fleet subsystem: the length-prefixed frame
  * protocol (round-trips, partial feeds, poisoning), the
  * formatSpec/parseGridText spec shipping contract, the env axis'
  * canonical-string stability, cross-process cache publication, and —
@@ -12,7 +12,10 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstdlib>
 #include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <string>
 #include <vector>
 
@@ -360,6 +363,66 @@ TEST(FleetE2E, MissingWorkerBinaryReportsIncomplete)
     EXPECT_FALSE(result.complete);
     EXPECT_EQ(result.fleet.cellsCompleted, 0u);
     EXPECT_GE(result.fleet.crashes, 1u);
+}
+
+// ---- the ticssweep CLI --------------------------------------------------
+
+/** A temp path unique to the running test and process. */
+std::string
+cliTempPath(const std::string &suffix)
+{
+    const auto *info =
+        ::testing::UnitTest::GetInstance()->current_test_info();
+    return (std::filesystem::temp_directory_path() /
+            ("ticsim-" + std::string(info->name()) + "-" +
+             std::to_string(::getpid()) + suffix))
+        .string();
+}
+
+/** Run the real ticssweep binary; @return its exit status. */
+int
+runTicssweep(const std::string &args)
+{
+    const std::string cmd = std::string(TICSIM_TICSSWEEP_BIN) + " " +
+                            args + " > " + cliTempPath(".log") +
+                            " 2>&1";
+    const int rc = std::system(cmd.c_str());
+    return WIFEXITED(rc) ? WEXITSTATUS(rc) : -1;
+}
+
+std::string
+slurp(const std::string &path)
+{
+    std::ifstream in(path, std::ios::binary);
+    return {std::istreambuf_iterator<char>(in),
+            std::istreambuf_iterator<char>()};
+}
+
+TEST(FleetCli, WorkersAndChaosKeepTheDocumentByteIdentical)
+{
+    const std::string grid = "--apps BC --runtimes TICS,plain-C "
+                             "--seeds 11,12 --no-cache --stable";
+    const std::string inProcess = cliTempPath("-w0.json");
+    const std::string chaos = cliTempPath("-chaos.json");
+    ASSERT_EQ(runTicssweep(grid + " --json " + inProcess), 0);
+    ASSERT_EQ(runTicssweep(grid +
+                           " --workers 2 --kill-worker 0"
+                           " --require-complete --json " +
+                           chaos),
+              0);
+    const std::string a = slurp(inProcess);
+    EXPECT_NE(a.find("\"grid\""), std::string::npos);
+    EXPECT_EQ(a, slurp(chaos));
+    std::filesystem::remove(inProcess);
+    std::filesystem::remove(chaos);
+    std::filesystem::remove(cliTempPath(".log"));
+}
+
+TEST(FleetCli, RemovedModesExitWithUsage)
+{
+    EXPECT_EQ(runTicssweep("--campaign"), 2);
+    EXPECT_EQ(runTicssweep("--crossval"), 2);
+    std::filesystem::remove(cliTempPath(".log"));
 }
 
 #endif // TICSIM_TICSSWEEP_BIN
