@@ -39,8 +39,7 @@
 #include "harness/report.hpp"
 #include "mem/nv.hpp"
 #include "mem/nvram.hpp"
-#include "mem/store_gate.hpp"
-#include "mem/trace.hpp"
+#include "mem/port.hpp"
 #include "perf/counters.hpp"
 #include "perf/host_profiler.hpp"
 #include "support/logging.hpp"
@@ -138,7 +137,7 @@ runMicrobenches(bool quick)
         mem::NvRam ram;
         mem::nv<std::uint64_t> x(ram, "perf.x");
         PassGate gate;
-        mem::ScopedGate g(&gate);
+        const mem::ScopedPort port({.gate = &gate});
         const double t0 = nowMs();
         for (std::uint64_t i = 0; i < big; ++i)
             x = i;
@@ -148,7 +147,7 @@ runMicrobenches(bool quick)
         mem::NvRam ram;
         mem::nv<std::uint64_t> x(ram, "perf.x");
         CountingSink sink;
-        mem::ScopedSink s(&sink);
+        const mem::ScopedPort port({.sink = &sink});
         const double t0 = nowMs();
         for (std::uint64_t i = 0; i < big; ++i)
             x = i;

@@ -50,9 +50,11 @@ usage(const char *argv0)
         "per-cell simulated budget. --jobs threads per process (0 =\n"
         "every hardware thread). --workers N shards the grid across N\n"
         "worker processes (0 = in-process); --max-seconds caps their\n"
-        "wall clock, --require-complete exits nonzero unless every\n"
-        "cell produced a result, and --kill-worker makes that shard's\n"
-        "first process SIGKILL itself after one result. --stable\n"
+        "wall clock, --max-retries and --heartbeat-timeout-s govern\n"
+        "crash retry, and --kill-worker makes that shard's first\n"
+        "process SIGKILL itself after one result; these four need\n"
+        "--workers N >= 1. --require-complete exits nonzero unless\n"
+        "every cell produced a result. --stable\n"
         "zeroes the wall-clock and cache fields of the JSON report so\n"
         "repeated runs are byte-identical. --worker is the re-exec\n"
         "entry and takes no other flags.\n",
@@ -77,6 +79,7 @@ main(int argc, char **argv)
     sweep::SweepConfig &sw = cfg.sweep;
     bool stable = false;
     bool requireComplete = false;
+    const char *workerOnlyFlag = nullptr; // last one seen, for the error
 
     for (int i = 1; i < argc; ++i) {
         const char *arg = argv[i];
@@ -128,18 +131,31 @@ main(int argc, char **argv)
             cfg.workers = static_cast<unsigned>(std::atoi(next()));
         } else if (std::strcmp(arg, "--max-seconds") == 0) {
             cfg.wallBudgetS = std::atof(next());
+            workerOnlyFlag = arg;
         } else if (std::strcmp(arg, "--max-retries") == 0) {
             cfg.maxRetries = static_cast<unsigned>(std::atoi(next()));
+            workerOnlyFlag = arg;
         } else if (std::strcmp(arg, "--heartbeat-timeout-s") == 0) {
             cfg.heartbeatTimeoutS = std::atof(next());
+            workerOnlyFlag = arg;
         } else if (std::strcmp(arg, "--kill-worker") == 0) {
             cfg.killWorkerShard = std::atoi(next());
+            workerOnlyFlag = arg;
         } else if (std::strcmp(arg, "--require-complete") == 0) {
             requireComplete = true;
         } else {
             usage(argv[0]);
             return 2;
         }
+    }
+
+    // In-process runs have no worker to cap, retry or kill; accepting
+    // these flags there would silently ignore them.
+    if (workerOnlyFlag && cfg.workers == 0) {
+        std::fprintf(stderr, "ticssweep: %s needs --workers N >= 1\n",
+                     workerOnlyFlag);
+        usage(argv[0]);
+        return 2;
     }
 
     fleet::FleetResult result = fleet::runFleet(cfg);

@@ -2,15 +2,7 @@
 
 namespace ticsim::analysis {
 
-AccessTracer::AccessTracer(board::Board &board)
-    : board_(board), prev_(mem::setAccessSink(this))
-{
-}
-
-AccessTracer::~AccessTracer()
-{
-    mem::setAccessSink(prev_);
-}
+AccessTracer::AccessTracer(board::Board &board) : board_(board) {}
 
 void
 AccessTracer::recordData(AccessKind kind, const void *p,

@@ -24,7 +24,7 @@
 #include <vector>
 
 #include "board/board.hpp"
-#include "mem/trace.hpp"
+#include "mem/port.hpp"
 #include "support/units.hpp"
 
 namespace ticsim::analysis {
@@ -74,7 +74,6 @@ class AccessTracer final : public mem::AccessSink
 {
   public:
     explicit AccessTracer(board::Board &board);
-    ~AccessTracer() override;
 
     AccessTracer(const AccessTracer &) = delete;
     AccessTracer &operator=(const AccessTracer &) = delete;
@@ -106,7 +105,6 @@ class AccessTracer final : public mem::AccessSink
     void closeInterval(IntervalEnd end);
 
     board::Board &board_;
-    mem::AccessSink *prev_;
     std::vector<IntervalTrace> intervals_;
     IntervalTrace open_;
     std::uint64_t boots_ = 0;
@@ -114,6 +112,9 @@ class AccessTracer final : public mem::AccessSink
     std::uint64_t writeBytes_ = 0;
     std::uint64_t versionedBytes_ = 0;
     bool finalized_ = false;
+    /** Attaches this tracer as the thread's sink; declared last so it
+     *  detaches first. */
+    mem::ScopedPort port_{{.sink = this}};
 };
 
 } // namespace ticsim::analysis

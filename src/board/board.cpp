@@ -3,7 +3,7 @@
 #include <type_traits>
 
 #include "board/runtime.hpp"
-#include "mem/journal.hpp"
+#include "mem/port.hpp"
 #include "support/logging.hpp"
 
 namespace ticsim::board {
@@ -23,8 +23,7 @@ Runtime::attach(Board &board, std::function<void()> appMain)
 void
 Runtime::storeBytes(void *dst, const void *src, std::uint32_t bytes)
 {
-    mem::traceWrite(dst, bytes);
-    mem::gatedStore(mem::StoreSite::AppGlobal, dst, src, bytes);
+    mem::store(mem::StoreSite::AppGlobal, dst, src, bytes);
 }
 
 Board::Board(BoardConfig cfg, std::unique_ptr<energy::Supply> supply,
@@ -177,7 +176,11 @@ Board::continueRun()
             break;
         }
         case RunPhase::Enter: {
-            mem::ScopedHooks sh(rt_->memHooks());
+            // The runtime's hooks see application stores only; the
+            // caller's sink, gate and journal stay attached.
+            mem::MemPort port = mem::port();
+            port.hooks = rt_->memHooks();
+            const mem::ScopedPort hooked(port);
             const auto reason = ctx_->run();
             if (reason == context::ExitReason::Completed) {
                 res_.completed = true;

@@ -22,7 +22,7 @@
 #include "device/sensors.hpp"
 #include "energy/supply.hpp"
 #include "mem/nvram.hpp"
-#include "mem/trace.hpp"
+#include "mem/port.hpp"
 #include "support/rng.hpp"
 #include "support/statebuf.hpp"
 #include "telemetry/events.hpp"

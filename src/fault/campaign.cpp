@@ -283,8 +283,7 @@ runPairWithPlan(const CampaignConfig &cfg, const PairSpec &spec,
     board::Board board(bcfg, std::move(supply),
                        std::make_unique<timekeeper::PerfectTimekeeper>());
     FaultInjector inj(board, *sup, plan, observe);
-    mem::ScopedAccessSink sink(&inj);
-    mem::ScopedStoreGate gate(&inj);
+    const mem::ScopedPort port({.sink = &inj, .gate = &inj});
 
     PairRunOutcome out = spec.run(board, cfg.budget);
     out.census = inj.census();

@@ -7,7 +7,7 @@
 #include <utility>
 
 #include "board/runtime.hpp"
-#include "mem/journal.hpp"
+#include "mem/port.hpp"
 #include "support/logging.hpp"
 #include "sweep/job_pool.hpp"
 #include "timekeeper/timekeeper.hpp"
@@ -275,12 +275,11 @@ class ShardWalker
         board_ = &board;
         ExploreSink sink(board);
         sink_ = &sink;
-        mem::ScopedAccessSink as(&sink);
-        mem::ScopedStoreGate sg(&sink);
+        mem::WriteJournal journal;
+        const mem::ScopedPort port(
+            {.sink = &sink, .gate = &sink, .journal = &journal});
         PairEnv env = spec_.make(board);
         env_ = &env;
-        mem::WriteJournal journal;
-        mem::ScopedWriteJournal sj(&journal);
 
         board.beginRun(*env.runtime, env.entry, cfg_.base.budget);
         Frame top;
@@ -721,11 +720,10 @@ forkShrinkViolation(const CampaignConfig &cfg, const PairSpec &spec,
     board::Board board(bcfg, std::move(supply),
                        std::make_unique<timekeeper::PerfectTimekeeper>());
     ShrinkRecorder rec(board, original);
-    mem::ScopedAccessSink as(&rec);
-    mem::ScopedStoreGate sg(&rec);
-    PairEnv env = spec.make(board);
     mem::WriteJournal journal;
-    mem::ScopedWriteJournal sj(&journal);
+    const mem::ScopedPort port(
+        {.sink = &rec, .gate = &rec, .journal = &journal});
+    PairEnv env = spec.make(board);
     board.beginRun(*env.runtime, env.entry, cfg.budget);
     board.continueRun();
     rec.disarm();
@@ -754,8 +752,8 @@ forkShrinkViolation(const CampaignConfig &cfg, const PairSpec &spec,
         std::sort(abs.begin(), abs.end());
         sup->scheduleAbsolute(std::move(abs));
         const Cycles before = board.mcu().cycles();
-        mem::ScopedAccessSink evalSink(&inj);
-        mem::ScopedStoreGate evalGate(&inj);
+        const mem::ScopedPort evalPort(
+            {.sink = &inj, .gate = &inj, .journal = &journal});
         const board::RunResult res = board.continueRun();
         const PairRunOutcome sub = leafOutcome(board, env, res);
         probe.cls = classifyOutcome(ref, sub);

@@ -4,7 +4,7 @@
 #include <cstring>
 #include <limits>
 
-#include "mem/journal.hpp"
+#include "mem/port.hpp"
 #include "support/logging.hpp"
 
 namespace ticsim::fault {

@@ -133,9 +133,8 @@ struct InjectorState {
 };
 
 /**
- * The in-run fault executor. Install as both the access sink and the
- * store gate (ScopedAccessSink + ScopedStoreGate) around one
- * Board::run.
+ * The in-run fault executor. Attach as both the sink and the gate of
+ * one mem::ScopedPort around one Board::run.
  */
 class FaultInjector : public mem::AccessSink, public mem::StoreGate
 {

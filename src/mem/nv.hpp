@@ -1,14 +1,14 @@
 /**
  * @file
- * Typed accessors for non-volatile application globals, and the write
- * interception hook through which the active runtime versions memory.
+ * Typed accessors for non-volatile application globals.
  *
  * On the real platform, TICS's source-instrumentation pass rewrites
  * every store to .data/.bss (and every pointer store) into a call into
  * the memory manager. Here the same surface is expressed in the type
  * system: application globals are nv<T>, and assignments route through
- * the installed MemHooks before the byte is changed, so an undo log can
- * capture the old value.
+ * the thread's mem::MemPort (port.hpp) — the runtime's MemHooks first,
+ * before the byte is changed, so an undo log can capture the old
+ * value.
  */
 
 #ifndef TICSIM_MEM_NV_HPP
@@ -18,57 +18,14 @@
 #include <type_traits>
 
 #include "mem/nvram.hpp"
-#include "mem/store_gate.hpp"
-#include "mem/trace.hpp"
+#include "mem/port.hpp"
 #include "support/logging.hpp"
 
 namespace ticsim::mem {
 
 /**
- * Write/read interception installed by the Board while application
- * code runs. The default instance performs no versioning (plain-C
- * semantics: FRAM writes land directly and persist).
- */
-class MemHooks
-{
-  public:
-    virtual ~MemHooks() = default;
-
-    /**
-     * Called before @p bytes at @p hostAddr are overwritten. The
-     * runtime may undo-log the old contents, charge cycles, or force a
-     * checkpoint.
-     */
-    virtual void preWrite(void *hostAddr, std::uint32_t bytes) {}
-
-    /** Called before @p bytes at @p hostAddr are read. */
-    virtual void preRead(const void *hostAddr, std::uint32_t bytes) {}
-};
-
-/** The calling thread's installed hooks (never null; defaults to a
- *  shared stateless pass-through). */
-MemHooks &hooks();
-
-/** Install hooks on the calling thread; returns the previous set. */
-MemHooks *setHooks(MemHooks *h);
-
-/** RAII hook installation for Board::run scopes. */
-class ScopedHooks
-{
-  public:
-    explicit ScopedHooks(MemHooks *h) : prev_(setHooks(h)) {}
-    ~ScopedHooks() { setHooks(prev_); }
-
-    ScopedHooks(const ScopedHooks &) = delete;
-    ScopedHooks &operator=(const ScopedHooks &) = delete;
-
-  private:
-    MemHooks *prev_;
-};
-
-/**
  * A T stored in the simulated FRAM arena. All mutation goes through
- * the installed MemHooks. Trivially-copyable T only (this is firmware
+ * the thread's memory port. Trivially-copyable T only (this is firmware
  * state, not a general container).
  */
 template <typename T>
@@ -102,7 +59,6 @@ class nv
     /** Instrumented read. */
     operator T() const
     {
-        hooks().preRead(slot_, kBytes);
         traceRead(slot_, kBytes);
         T v;
         std::memcpy(&v, slot_, sizeof(T));
@@ -115,9 +71,8 @@ class nv
      *  runtime's versioning is visible to the sink before the write. */
     nv &operator=(const T &v)
     {
-        hooks().preWrite(slot_, kBytes);
-        traceWrite(slot_, kBytes);
-        gatedStore(StoreSite::AppGlobal, slot_, &v, kBytes);
+        hooksPreWrite(slot_, kBytes);
+        store(StoreSite::AppGlobal, slot_, &v, kBytes);
         return *this;
     }
 
@@ -167,7 +122,6 @@ class nvArray
     T get(std::uint32_t i) const
     {
         TICSIM_ASSERT(i < N, "index %u", i);
-        hooks().preRead(slots_ + i, kElemBytes);
         traceRead(slots_ + i, kElemBytes);
         return slots_[i];
     }
@@ -175,9 +129,8 @@ class nvArray
     void set(std::uint32_t i, const T &v)
     {
         TICSIM_ASSERT(i < N, "index %u", i);
-        hooks().preWrite(slots_ + i, kElemBytes);
-        traceWrite(slots_ + i, kElemBytes);
-        gatedStore(StoreSite::AppGlobal, slots_ + i, &v, kElemBytes);
+        hooksPreWrite(slots_ + i, kElemBytes);
+        store(StoreSite::AppGlobal, slots_ + i, &v, kElemBytes);
     }
 
     T *raw() { return slots_; }

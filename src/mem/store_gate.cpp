@@ -2,18 +2,6 @@
 
 namespace ticsim::mem {
 
-namespace detail {
-thread_local StoreGate *g_gate = nullptr;
-} // namespace detail
-
-StoreGate *
-setStoreGate(StoreGate *g)
-{
-    StoreGate *prev = detail::g_gate;
-    detail::g_gate = g;
-    return prev;
-}
-
 const char *
 storeSiteName(StoreSite s)
 {

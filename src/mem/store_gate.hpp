@@ -7,22 +7,20 @@
  * interleaved mix of old and new words (NORM-style NVM emulation).
  * Every multi-byte NV store the simulator models — application-global
  * assignments, undo-log appends, and checkpoint header persists —
- * funnels through gatedStore() so an installed StoreGate can replace
- * the atomic host memcpy with a torn partial write followed by an
- * immediate power failure.
+ * funnels through mem::store() or mem::gatedStore() (port.hpp), so a
+ * StoreGate attached as the `gate` role of the thread's mem::MemPort
+ * can replace the atomic host memcpy with a torn partial write
+ * followed by an immediate power failure.
  *
- * When no gate is installed (the default, and every normal benchmark
- * or test run), gatedStore() is a null-pointer test plus memcpy:
- * no modeled costs and no behaviour change.
+ * When no gate is attached (the default, and every normal benchmark
+ * or test run), a store is a null-pointer test plus memcpy: no modeled
+ * costs and no behaviour change.
  */
 
 #ifndef TICSIM_MEM_STORE_GATE_HPP
 #define TICSIM_MEM_STORE_GATE_HPP
 
 #include <cstdint>
-#include <cstring>
-
-#include "perf/counters.hpp"
 
 namespace ticsim::mem {
 
@@ -53,48 +51,6 @@ class StoreGate
     virtual void store(StoreSite site, void *dst, const void *src,
                        std::uint32_t bytes) = 0;
 };
-
-namespace detail {
-/** Thread-local for the same reason as mem::detail::g_sink: concurrent
- *  sweep Boards each install their own injector without cross-talk. */
-extern thread_local StoreGate *g_gate;
-} // namespace detail
-
-/** Install @p g as the calling thread's store gate; returns the
- *  previous one (may be null). Pass nullptr to restore direct stores. */
-StoreGate *setStoreGate(StoreGate *g);
-
-/** Perform an instrumented NV store through the installed gate. */
-inline void
-gatedStore(StoreSite site, void *dst, const void *src,
-           std::uint32_t bytes)
-{
-    if (detail::g_gate) {
-        ++perf::hot().gateDispatches;
-        detail::g_gate->store(site, dst, src, bytes);
-    } else {
-        ++perf::hot().gateFastNull;
-        std::memcpy(dst, src, bytes);
-    }
-}
-
-/** RAII gate installation for the scope of one faulted Board::run on
- *  the current thread. */
-class ScopedStoreGate
-{
-  public:
-    explicit ScopedStoreGate(StoreGate *g) : prev_(setStoreGate(g)) {}
-    ~ScopedStoreGate() { setStoreGate(prev_); }
-
-    ScopedStoreGate(const ScopedStoreGate &) = delete;
-    ScopedStoreGate &operator=(const ScopedStoreGate &) = delete;
-
-  private:
-    StoreGate *prev_;
-};
-
-/** Short name used by the sweep/fault/verify subsystems. */
-using ScopedGate = ScopedStoreGate;
 
 } // namespace ticsim::mem
 

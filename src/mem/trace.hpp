@@ -3,26 +3,27 @@
  * Memory-consistency trace channel.
  *
  * The analysis subsystem (src/analysis/) observes every instrumented
- * non-volatile access in the simulator through one installable sink:
- * the nv<T> accessors and pointer-store paths report reads and writes
- * at the same sites that call into mem::MemHooks, the versioning
- * machinery (undo logs, snapshot checkpoints, privatized channels)
- * reports when the original bytes of a location have been made
- * recoverable, and the Board reports the interval boundaries (power-on
- * and commit) between which the Surbatovich consistency condition is
- * evaluated.
+ * non-volatile access in the simulator through one AccessSink, the
+ * `sink` role of the calling thread's mem::MemPort (port.hpp): the
+ * nv<T> accessors and pointer-store paths report reads and writes at
+ * the same dispatch point that runs the runtime's MemHooks, the
+ * versioning machinery (undo logs, snapshot checkpoints, privatized
+ * channels) reports when the original bytes of a location have been
+ * made recoverable, and the Board reports the interval boundaries
+ * (power-on and commit) between which the Surbatovich consistency
+ * condition is evaluated.
  *
- * When no sink is installed (the default, and all normal benchmark /
- * test runs) every trace call is a null-pointer test and nothing else;
- * tracing changes no modeled costs and no runtime behaviour.
+ * The forwarding helpers (traceRead, traceWrite, ...) live in
+ * port.hpp. When no sink is attached (the default, and all normal
+ * benchmark / test runs) every trace call is a null-pointer test and
+ * nothing else; tracing changes no modeled costs and no runtime
+ * behaviour.
  */
 
 #ifndef TICSIM_MEM_TRACE_HPP
 #define TICSIM_MEM_TRACE_HPP
 
 #include <cstdint>
-
-#include "perf/counters.hpp"
 
 namespace ticsim::mem {
 
@@ -101,130 +102,6 @@ class AccessSink
      */
     virtual void sideEvent(const SideEvent & /*ev*/) {}
 };
-
-namespace detail {
-/**
- * The installed sink is thread-local: every simulated Board lives on
- * exactly one host thread, and the sweep engine (src/sweep/) runs many
- * Boards on concurrent threads — each with its own tracer — so the
- * sink must never leak between them. Serial code is unaffected (one
- * thread, one slot, same semantics as the old process global).
- */
-extern thread_local AccessSink *g_sink;
-} // namespace detail
-
-/** Install @p s as the calling thread's trace sink; returns the
- *  previous one (may be null). Pass nullptr to disable tracing. */
-AccessSink *setAccessSink(AccessSink *s);
-
-/** Currently installed sink, or nullptr when tracing is off. */
-inline AccessSink *
-accessSink()
-{
-    return detail::g_sink;
-}
-
-// ---- forwarding helpers (no-ops while no sink is installed) ------------
-//
-// Each helper also bumps the calling thread's perf::HotCounters —
-// host-side observation only (no modeled cost, no NV state), so the
-// conservation invariant "sink installed => counted NV stores ==
-// delivered memWrite events" holds by construction: both tallies are
-// taken at the same dispatch point.
-
-inline void
-traceRead(const void *p, std::uint32_t bytes)
-{
-    perf::HotCounters &c = perf::hot();
-    ++c.nvLoads;
-    c.nvLoadBytes += bytes;
-    if (detail::g_sink) {
-        ++c.sinkDispatches;
-        detail::g_sink->memRead(p, bytes);
-    } else {
-        ++c.sinkFastNull;
-    }
-}
-
-inline void
-traceWrite(const void *p, std::uint32_t bytes)
-{
-    perf::HotCounters &c = perf::hot();
-    ++c.nvStores;
-    c.nvStoreBytes += bytes;
-    if (detail::g_sink) {
-        ++c.sinkDispatches;
-        detail::g_sink->memWrite(p, bytes);
-    } else {
-        ++c.sinkFastNull;
-    }
-}
-
-inline void
-traceVersioned(const void *p, std::uint32_t bytes)
-{
-    perf::HotCounters &c = perf::hot();
-    ++c.nvVersioned;
-    c.nvVersionedBytes += bytes;
-    if (detail::g_sink) {
-        ++c.sinkDispatches;
-        detail::g_sink->memVersioned(p, bytes);
-    } else {
-        ++c.sinkFastNull;
-    }
-}
-
-inline void
-traceBoot()
-{
-    if (detail::g_sink) {
-        ++perf::hot().sinkDispatches;
-        detail::g_sink->powerOn();
-    } else {
-        ++perf::hot().sinkFastNull;
-    }
-}
-
-inline void
-traceCommit()
-{
-    if (detail::g_sink) {
-        ++perf::hot().sinkDispatches;
-        detail::g_sink->commit();
-    } else {
-        ++perf::hot().sinkFastNull;
-    }
-}
-
-inline void
-traceSideEvent(SideEventKind kind, const char *id = nullptr,
-               std::uint64_t u0 = 0, std::uint64_t u1 = 0)
-{
-    if (detail::g_sink) {
-        ++perf::hot().sinkDispatches;
-        detail::g_sink->sideEvent(SideEvent{kind, id, u0, u1});
-    } else {
-        ++perf::hot().sinkFastNull;
-    }
-}
-
-/** RAII sink installation for the scope of one traced Board::run on
- *  the current thread. */
-class ScopedAccessSink
-{
-  public:
-    explicit ScopedAccessSink(AccessSink *s) : prev_(setAccessSink(s)) {}
-    ~ScopedAccessSink() { setAccessSink(prev_); }
-
-    ScopedAccessSink(const ScopedAccessSink &) = delete;
-    ScopedAccessSink &operator=(const ScopedAccessSink &) = delete;
-
-  private:
-    AccessSink *prev_;
-};
-
-/** Short name used by the sweep/fault/verify subsystems. */
-using ScopedSink = ScopedAccessSink;
 
 } // namespace ticsim::mem
 

@@ -5,8 +5,8 @@
  * The simulator attributes every *simulated* MCU cycle (PhaseProfiler)
  * but was blind to its own *host* cost. These counters instrument the
  * paths the ROADMAP names as hot — nv<T>/NvRam loads and stores, the
- * AccessSink/StoreGate/MemHooks dispatch points (hook-installed vs
- * fast-path-null), undo-log records, checkpoint image traffic,
+ * memory port's AccessSink/StoreGate/MemHooks dispatch points
+ * (attached vs fast-path-null), undo-log records, checkpoint image traffic,
  * EventRing pushes and JobPool scheduling — so `bench/ticsperf` can
  * report where host work actually goes and `tools/perf_diff.py` can
  * flag when a change moves NV traffic or dispatch mix.
@@ -21,7 +21,7 @@
  *     counters live.
  *
  *  2. Per-thread, mergeable. Every simulated Board runs on exactly one
- *     host thread (see mem/trace.hpp), so each thread owns a private
+ *     host thread (see mem/port.hpp), so each thread owns a private
  *     HotCounters block reached through one thread_local pointer; no
  *     atomics on the hot path. Threads register with a process-wide
  *     registry on first use and fold their block into a retired
@@ -60,8 +60,8 @@ struct HotCounters {
     std::uint64_t sinkFastNull = 0;   ///< trace calls with no sink
     std::uint64_t gateDispatches = 0; ///< StoreGate::store calls
     std::uint64_t gateFastNull = 0;   ///< gatedStore direct memcpys
-    std::uint64_t hookDispatches = 0; ///< MemHooks calls, runtime set
-    std::uint64_t hookFastNull = 0;   ///< MemHooks calls, pass-through
+    std::uint64_t hookDispatches = 0; ///< nv<T> stores, hooks attached
+    std::uint64_t hookFastNull = 0;   ///< nv<T> stores, no hooks
 
     // ---- undo log ----
     std::uint64_t undoRecordsSealed = 0;
@@ -104,8 +104,10 @@ struct CounterField {
 const CounterField *counterFields(int &countOut);
 
 namespace detail {
-/** The calling thread's block, or nullptr before first use. */
-extern thread_local HotCounters *g_hot;
+/** The calling thread's block, or nullptr before first use. constinit
+ *  lets every TU read it directly instead of through a TLS init
+ *  wrapper. */
+extern constinit thread_local HotCounters *g_hot;
 /** Slow path: allocate + register this thread's perf state. */
 HotCounters &registerThreadCounters();
 } // namespace detail

@@ -4,8 +4,7 @@
 
 #include <cstring>
 
-#include "mem/store_gate.hpp"
-#include "mem/trace.hpp"
+#include "mem/port.hpp"
 #include "support/logging.hpp"
 #include "telemetry/phase.hpp"
 
@@ -161,8 +160,7 @@ ChinchillaRuntime::storeBytes(void *dst, const void *src,
                               std::uint32_t bytes)
 {
     preWrite(dst, bytes);
-    mem::traceWrite(dst, bytes);
-    mem::gatedStore(mem::StoreSite::AppGlobal, dst, src, bytes);
+    mem::store(mem::StoreSite::AppGlobal, dst, src, bytes);
 }
 
 } // namespace ticsim::runtimes

@@ -4,8 +4,7 @@
 
 #include <cstring>
 
-#include "mem/journal.hpp"
-#include "mem/trace.hpp"
+#include "mem/port.hpp"
 #include "support/logging.hpp"
 #include "telemetry/phase.hpp"
 

@@ -24,8 +24,7 @@
 
 #include "board/board.hpp"
 #include "board/runtime.hpp"
-#include "mem/journal.hpp"
-#include "mem/trace.hpp"
+#include "mem/port.hpp"
 
 namespace ticsim::taskrt {
 

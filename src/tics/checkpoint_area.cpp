@@ -5,8 +5,7 @@
 #include <cstring>
 
 #include "board/board.hpp"
-#include "mem/journal.hpp"
-#include "mem/store_gate.hpp"
+#include "mem/port.hpp"
 #include "perf/counters.hpp"
 #include "perf/host_profiler.hpp"
 #include "support/crc32.hpp"

@@ -2,7 +2,7 @@
 
 #include <cstring>
 
-#include "mem/trace.hpp"
+#include "mem/port.hpp"
 #include "support/logging.hpp"
 
 namespace ticsim::tics {

@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <cstring>
 
-#include "mem/store_gate.hpp"
+#include "mem/port.hpp"
 #include "support/logging.hpp"
 #include "telemetry/phase.hpp"
 
@@ -330,8 +330,7 @@ void
 TicsRuntime::storeBytes(void *dst, const void *src, std::uint32_t bytes)
 {
     preWrite(dst, bytes);
-    mem::traceWrite(dst, bytes);
-    mem::gatedStore(mem::StoreSite::AppGlobal, dst, src, bytes);
+    mem::store(mem::StoreSite::AppGlobal, dst, src, bytes);
 }
 
 TimeNs

@@ -3,9 +3,7 @@
 #include <cstddef>
 #include <cstring>
 
-#include "mem/journal.hpp"
-#include "mem/store_gate.hpp"
-#include "mem/trace.hpp"
+#include "mem/port.hpp"
 #include "perf/counters.hpp"
 #include "support/crc32.hpp"
 #include "support/logging.hpp"

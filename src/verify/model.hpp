@@ -34,7 +34,7 @@
 
 #include "analysis/access_trace.hpp"
 #include "board/board.hpp"
-#include "mem/trace.hpp"
+#include "mem/port.hpp"
 
 namespace ticsim::verify {
 
@@ -119,7 +119,6 @@ class ModelRecorder final : public mem::AccessSink
 {
   public:
     explicit ModelRecorder(board::Board &board);
-    ~ModelRecorder() override;
 
     ModelRecorder(const ModelRecorder &) = delete;
     ModelRecorder &operator=(const ModelRecorder &) = delete;
@@ -148,11 +147,13 @@ class ModelRecorder final : public mem::AccessSink
     void closeRegion(analysis::IntervalEnd end);
 
     board::Board &board_;
-    mem::AccessSink *prev_;
     ProgramModel model_;
     RegionNode open_;
     std::uint32_t guardDepth_ = 0;
     bool finalized_ = false;
+    /** Attaches this recorder as the thread's sink; declared last so
+     *  it detaches first. */
+    mem::ScopedPort port_{{.sink = this}};
 };
 
 } // namespace ticsim::verify

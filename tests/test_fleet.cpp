@@ -425,6 +425,22 @@ TEST(FleetCli, RemovedModesExitWithUsage)
     std::filesystem::remove(cliTempPath(".log"));
 }
 
+TEST(FleetCli, WorkerOnlyFlagsExitWithUsageInProcess)
+{
+    for (const char *flag :
+         {"--max-seconds 0.001", "--kill-worker 0", "--max-retries 1",
+          "--heartbeat-timeout-s 5"}) {
+        EXPECT_EQ(runTicssweep(std::string(flag)), 2) << flag;
+        EXPECT_EQ(runTicssweep(std::string(flag) + " --workers 0"), 2)
+            << flag;
+    }
+    // In-process runs are always complete, so this one stays accepted.
+    EXPECT_EQ(runTicssweep("--apps BC --runtimes plain-C --seeds 11 "
+                           "--no-cache --require-complete"),
+              0);
+    std::filesystem::remove(cliTempPath(".log"));
+}
+
 #endif // TICSIM_TICSSWEEP_BIN
 
 } // namespace

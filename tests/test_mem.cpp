@@ -1,18 +1,20 @@
 /**
  * @file
  * Unit tests for the memory substrate: arena allocation/alignment,
- * typed nv<> accessors, write-interception hooks, and the Table 3
- * footprint ledger.
+ * typed nv<> accessors, the memory port's write interception, and the
+ * Table 3 footprint ledger.
  */
 
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <string>
 #include <vector>
 
 #include "mem/footprint.hpp"
 #include "mem/nv.hpp"
 #include "mem/nvram.hpp"
+#include "mem/port.hpp"
 
 using namespace ticsim;
 using namespace ticsim::mem;
@@ -101,18 +103,40 @@ namespace {
 /** Recording hooks for interception tests. */
 struct SpyHooks : MemHooks {
     std::vector<std::pair<void *, std::uint32_t>> writes;
-    std::vector<std::pair<const void *, std::uint32_t>> reads;
 
     void
     preWrite(void *p, std::uint32_t n) override
     {
         writes.emplace_back(p, n);
     }
+};
 
-    void
-    preRead(const void *p, std::uint32_t n) override
+/** One object in all three store roles, logging the dispatch order. */
+struct OrderSpy final : MemHooks, AccessSink, StoreGate {
+    std::vector<std::string> calls;
+
+    void preWrite(void *, std::uint32_t) override
     {
-        reads.emplace_back(p, n);
+        calls.emplace_back("preWrite");
+    }
+    void memRead(const void *, std::uint32_t) override
+    {
+        calls.emplace_back("memRead");
+    }
+    void memWrite(const void *, std::uint32_t) override
+    {
+        calls.emplace_back("memWrite");
+    }
+    void memVersioned(const void *, std::uint32_t) override {}
+    void powerOn() override {}
+    void commit() override {}
+    void
+    store(StoreSite, void *dst, const void *src,
+          std::uint32_t bytes) override
+    {
+        calls.emplace_back("store");
+        journalNote(dst, bytes); // the explorer's gate does the same
+        std::memcpy(dst, src, bytes);
     }
 };
 
@@ -124,14 +148,13 @@ TEST(Nv, WritesRouteThroughHooks)
     nv<int> x(ram, "x");
     SpyHooks spy;
     {
-        ScopedHooks sh(&spy);
+        const ScopedPort port({.hooks = &spy});
         x = 42;
         EXPECT_EQ(static_cast<int>(x), 42);
     }
     ASSERT_EQ(spy.writes.size(), 1u);
     EXPECT_EQ(spy.writes[0].first, x.raw());
     EXPECT_EQ(spy.writes[0].second, sizeof(int));
-    ASSERT_EQ(spy.reads.size(), 1u);
 }
 
 TEST(Nv, HooksCapturePreWriteState)
@@ -148,7 +171,7 @@ TEST(Nv, HooksCapturePreWriteState)
             std::memcpy(&captured, p, n); // must see the OLD value
         }
     } hooks;
-    ScopedHooks sh(&hooks);
+    const ScopedPort port({.hooks = &hooks});
     x = 9;
     EXPECT_EQ(hooks.captured, 7);
     EXPECT_EQ(x.get(), 9);
@@ -166,20 +189,68 @@ TEST(Nv, CompoundOperators)
     EXPECT_EQ(x.get(), 13);
 }
 
-TEST(Nv, ScopedHooksRestorePrevious)
+TEST(MemPort, NestedScopesOverlayAndRestore)
 {
+    NvRam ram(1024);
+    nv<int> x(ram, "x");
     SpyHooks outer;
     SpyHooks inner;
-    MemHooks *before = setHooks(nullptr); // pass-through
+    OrderSpy sink;
+    ASSERT_EQ(port().hooks, nullptr);
     {
-        ScopedHooks a(&outer);
+        const ScopedPort a({.hooks = &outer, .sink = &sink});
         {
-            ScopedHooks b(&inner);
-            EXPECT_EQ(&hooks(), &inner);
+            // Overlay one role the way Board::continueRun does.
+            MemPort p = port();
+            p.hooks = &inner;
+            const ScopedPort b(p);
+            EXPECT_EQ(port().hooks, &inner);
+            EXPECT_EQ(port().sink, &sink);
+            x = 1;
         }
-        EXPECT_EQ(&hooks(), &outer);
+        EXPECT_EQ(port().hooks, &outer);
+        EXPECT_EQ(port().sink, &sink);
+        x = 2;
+        {
+            // An all-null port detaches everything for its scope.
+            const ScopedPort none(MemPort{});
+            EXPECT_EQ(port().hooks, nullptr);
+            EXPECT_EQ(port().sink, nullptr);
+            x = 3;
+        }
+        EXPECT_EQ(port().hooks, &outer);
     }
-    setHooks(before);
+    const MemPort after = port();
+    EXPECT_EQ(after.hooks, nullptr);
+    EXPECT_EQ(after.sink, nullptr);
+    EXPECT_EQ(inner.writes.size(), 1u);
+    EXPECT_EQ(outer.writes.size(), 1u);
+    EXPECT_EQ(sink.calls,
+              (std::vector<std::string>{"memWrite", "memWrite"}));
+    EXPECT_EQ(x.get(), 3);
+}
+
+TEST(MemPort, StoreDispatchesHooksThenSinkThenGate)
+{
+    NvRam ram(1024);
+    nv<int> x(ram, "x", 5);
+    OrderSpy spy;
+    WriteJournal journal;
+    {
+        const ScopedPort port({.hooks = &spy,
+                               .sink = &spy,
+                               .gate = &spy,
+                               .journal = &journal});
+        x = 8;
+    }
+    EXPECT_EQ(spy.calls, (std::vector<std::string>{"preWrite", "memWrite",
+                                                   "store"}));
+    EXPECT_EQ(x.get(), 8);
+    // The gate's journal note was taken before the bytes changed, so
+    // rolling the journal back restores the old value.
+    ASSERT_EQ(journal.records(), 1u);
+    journal.undoTo(0);
+    EXPECT_EQ(x.get(), 5);
 }
 
 TEST(NvArray, ElementAccessAndHooks)
@@ -188,7 +259,7 @@ TEST(NvArray, ElementAccessAndHooks)
     nvArray<std::uint16_t, 8> arr(ram, "arr");
     SpyHooks spy;
     {
-        ScopedHooks sh(&spy);
+        const ScopedPort port({.hooks = &spy});
         arr.set(3, 77);
         EXPECT_EQ(arr.get(3), 77);
     }

@@ -17,7 +17,7 @@
 
 #include "mem/nv.hpp"
 #include "mem/nvram.hpp"
-#include "mem/trace.hpp"
+#include "mem/port.hpp"
 #include "perf/counters.hpp"
 #include "perf/host_profiler.hpp"
 #include "sweep/job_pool.hpp"
@@ -107,7 +107,7 @@ TEST(PerfCounters, SinkConservation)
     mem::nv<std::uint64_t> x(ram, "perf.test.x");
 
     TallySink sink;
-    mem::ScopedSink s(&sink);
+    const mem::ScopedPort port({.sink = &sink});
     const perf::HotCounters before = perf::hot();
 
     constexpr std::uint64_t kStores = 1000;
@@ -138,7 +138,10 @@ TEST(PerfCounters, FastPathCountsWithoutSink)
 {
     mem::NvRam ram;
     mem::nv<std::uint64_t> x(ram, "perf.test.x");
-    ASSERT_EQ(mem::accessSink(), nullptr);
+    const mem::MemPort attached = mem::port();
+    ASSERT_EQ(attached.hooks, nullptr);
+    ASSERT_EQ(attached.sink, nullptr);
+    ASSERT_EQ(attached.gate, nullptr);
 
     const perf::HotCounters before = perf::hot();
     constexpr std::uint64_t kStores = 500;
@@ -148,6 +151,10 @@ TEST(PerfCounters, FastPathCountsWithoutSink)
     EXPECT_EQ(d.nvStores, kStores);
     EXPECT_EQ(d.sinkDispatches, 0u);
     EXPECT_EQ(d.sinkFastNull, kStores);
+    EXPECT_EQ(d.gateDispatches, 0u);
+    EXPECT_EQ(d.gateFastNull, kStores);
+    EXPECT_EQ(d.hookDispatches, 0u);
+    EXPECT_EQ(d.hookFastNull, kStores);
 }
 
 // ---- cross-thread merge -------------------------------------------------

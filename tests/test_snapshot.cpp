@@ -20,9 +20,7 @@
 #include "fault/campaign.hpp"
 #include "fault/explore.hpp"
 #include "fault/injector.hpp"
-#include "mem/journal.hpp"
-#include "mem/store_gate.hpp"
-#include "mem/trace.hpp"
+#include "mem/port.hpp"
 #include "timekeeper/timekeeper.hpp"
 
 using namespace ticsim;
@@ -184,11 +182,10 @@ TEST(SnapshotRoundTrip, ResumeAtStoreKMatchesFromScratchOnEveryPair)
             bcfg, std::make_unique<energy::ContinuousSupply>(),
             std::make_unique<timekeeper::PerfectTimekeeper>());
         SnapAtEvent sink(board, 2);
-        mem::ScopedAccessSink as(&sink);
-        mem::ScopedStoreGate sg(&sink);
-        fault::PairEnv env = spec.make(board);
         mem::WriteJournal journal;
-        mem::ScopedWriteJournal sj(&journal);
+        const mem::ScopedPort port(
+            {.sink = &sink, .gate = &sink, .journal = &journal});
+        fault::PairEnv env = spec.make(board);
 
         board.beginRun(*env.runtime, env.entry, cfg.budget);
         const RunTrace first = traceOf(board, env, board.continueRun());
@@ -214,11 +211,10 @@ TEST(SnapshotRoundTrip, RepeatedRestoreFromOneSnapshotIsIdempotent)
                        std::make_unique<energy::ContinuousSupply>(),
                        std::make_unique<timekeeper::PerfectTimekeeper>());
     SnapAtEvent sink(board, 3);
-    mem::ScopedAccessSink as(&sink);
-    mem::ScopedStoreGate sg(&sink);
-    fault::PairEnv env = spec.make(board);
     mem::WriteJournal journal;
-    mem::ScopedWriteJournal sj(&journal);
+    const mem::ScopedPort port(
+        {.sink = &sink, .gate = &sink, .journal = &journal});
+    fault::PairEnv env = spec.make(board);
 
     board.beginRun(*env.runtime, env.entry, cfg.budget);
     const RunTrace first = traceOf(board, env, board.continueRun());
@@ -238,9 +234,9 @@ TEST(SnapshotRoundTrip, RepeatedRestoreFromOneSnapshotIsIdempotent)
 
 TEST(ForkDeterminism, ConcurrentExplorationsShareNoState)
 {
-    // Two boards exploring concurrently on two threads: the sink,
-    // store gate and write journal are thread-local, so each walk must
-    // produce exactly what it produces alone.
+    // Two boards exploring concurrently on two threads: the memory
+    // port (sink, store gate, write journal) is thread-local, so each
+    // walk must produce exactly what it produces alone.
     fault::ExploreConfig cfg;
     cfg.base = smallConfig();
     const fault::PairSpec tics = findPair(cfg.base, "BC", "TICS");

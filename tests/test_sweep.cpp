@@ -24,7 +24,7 @@
 
 #include "apps/bc/bc_legacy.hpp"
 #include "harness/experiment.hpp"
-#include "mem/trace.hpp"
+#include "mem/port.hpp"
 #include "support/stats.hpp"
 #include "sweep/cache.hpp"
 #include "sweep/grid.hpp"
@@ -509,7 +509,7 @@ tracedBcRun(TimeNs periodNs)
     apps::BcLegacyApp app(*board, rt);
 
     CountingSink sink;
-    mem::ScopedSink scoped(&sink);
+    const mem::ScopedPort port({.sink = &sink});
     board->run(rt, [&app] { app.main(); }, 600 * kNsPerSec);
     return sink.summary();
 }

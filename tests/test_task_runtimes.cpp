@@ -68,7 +68,7 @@ TEST(Channel, DiscardDropsShadow)
         EXPECT_EQ(ch.dirtyBytes(), 0u);
         EXPECT_EQ(ch.get(), 0);
     });
-    mem::ScopedHooks sh(rt.memHooks());
+    const mem::ScopedPort port({.hooks = rt.memHooks()});
     b->ctx().run();
     EXPECT_EQ(ch.committed(), 0);
 }
